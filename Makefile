@@ -46,9 +46,12 @@ race:
 # budget re-runs the //kws:hotpath allocation pins on their own (they also
 # run inside `test`): the manifest-driven table in internal/core requires a
 # harness for every annotated function and pins warm probe servicing and
-# flight logging at zero allocations.
+# flight logging at zero allocations. The report pin caps a warm level-3
+# Debug + JSON report, so SQL rendered for a report that does not show it
+# fails here.
 budget:
 	$(GO) test -run 'TestHotpathAllocBudgets|TestLookupRecordAllocFree' ./internal/core ./internal/invidx
+	$(GO) test -run 'TestWarmReportAllocBudget' ./internal/report
 
 verify: build vet lint test race budget
 

@@ -62,8 +62,8 @@ func FlightSweep(env *Env, level int, workers []int, rounds int) (*Table, *Fligh
 	}
 
 	// One timed sweep over the workload, a few milliseconds of work.
-	// record=true attaches a ring-recording Log to every Debug call, exactly
-	// as the server does per request.
+	// record=true attaches a ring-recording Log to every Debug call and
+	// closes it after, exactly as the server does per request.
 	sweep := func(w int, record bool) (elapsed time.Duration, events int, err error) {
 		start := time.Now()
 		for _, q := range queries {
@@ -80,6 +80,7 @@ func FlightSweep(env *Env, level int, workers []int, rounds int) (*Table, *Fligh
 				return 0, 0, fmt.Errorf("bench: flight sweep %s workers=%d: %w", q.ID, w, err)
 			}
 			events += fl.Count()
+			fl.Close()
 		}
 		return time.Since(start), events, nil
 	}

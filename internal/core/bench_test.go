@@ -60,7 +60,7 @@ func BenchmarkSublatticeBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if sub := buildSublattice(sys.lat, ph.mtnIDs); sub.len() == 0 {
+		if sub := buildSublattice(sys.lat, sys.idx.rank, ph.mtnIDs); sub.len() == 0 {
 			b.Fatal("empty sublattice")
 		}
 	}
@@ -78,7 +78,7 @@ func BenchmarkProbeCompile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sub := buildSublattice(sys.lat, ph.mtnIDs)
+	sub := buildSublattice(sys.lat, sys.idx.rank, ph.mtnIDs)
 	nodeID := sub.nodeID[sub.len()-1] // deepest node: the costliest render
 	b.Run("render", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -11,6 +11,13 @@ func (b bitset) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 func (b bitset) clear(i int)    { b[i>>6] &^= 1 << uint(i&63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
 
+// or sets every bit that is set in o, which must be no longer than b.
+func (b bitset) or(o bitset) {
+	for i, w := range o {
+		b[i] |= w
+	}
+}
+
 // count returns the number of set bits.
 func (b bitset) count() int {
 	n := 0

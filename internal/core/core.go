@@ -92,6 +92,10 @@ type System struct {
 	// entries self-revalidate against the engine's version vector, so the
 	// evaluator never needs flushing on INSERT.
 	bits *bitprobe.Evaluator
+
+	// idx is the lattice-static part of Phases 1 and 2: the keyword-pair
+	// bitmaps pruning unions and the node ranks that order sub-lattices.
+	idx latticeIndex
 }
 
 // NewSystem wires an engine and a pre-generated lattice together. The lattice
@@ -104,6 +108,7 @@ func NewSystem(eng *engine.Engine, lat *lattice.Lattice) (*System, error) {
 		eng: eng, lat: lat, db: sqldriver.OpenDB(eng),
 		prepared: engine.NewPreparedCache(engine.DefaultPlanCacheSize, "prepared"),
 		bits:     bitprobe.New(eng),
+		idx:      indexLattice(lat),
 	}, nil
 }
 
@@ -174,11 +179,9 @@ type Stats struct {
 	// Phase 2.
 	MTNTime    time.Duration
 	MTNs       int
-	SubNodes   int         // nodes in the MTNs' descendant closure
-	DescTotal  int         // descendants of MTNs, with multiplicity
-	DescUnique int         // unique descendants
-	MTNLevels  map[int]int // MTN count per lattice level
-	MPANLevels map[int]int // MPAN count per lattice level (after Phase 3)
+	SubNodes   int // nodes in the MTNs' descendant closure
+	DescTotal  int // descendants of MTNs, with multiplicity
+	DescUnique int // unique descendants
 
 	// Phase 3.
 	Strategy     Strategy
@@ -234,9 +237,8 @@ type QueryInfo struct {
 	NodeID int
 	Level  int
 	// Tree is the human-readable join tree, e.g. "Person#1-writes#0-Publication#2".
+	// The node's SQL text is rendered on request by Output.SQL.
 	Tree string
-	// SQL is the instantiated query that returns the node's tuples.
-	SQL string
 }
 
 // NonAnswer is a dead MTN together with its explanation.
@@ -273,6 +275,24 @@ type Output struct {
 	// Unclassified lists the candidate networks the exhausted run never
 	// settled: each could be an answer or a non-answer.
 	Unclassified []QueryInfo
+
+	// lat is the lattice the QueryInfo node IDs refer to, for SQL.
+	lat *lattice.Lattice
+}
+
+// SQL renders the instantiated query that returns q's tuples. A run never
+// renders SQL itself; reports call this only when asked to show it. An
+// Output built by hand, without a lattice, renders "".
+func (o *Output) SQL(q QueryInfo) string {
+	if o.lat == nil {
+		return ""
+	}
+	text, err := o.lat.SQL(o.lat.Node(q.NodeID), o.Keywords, false)
+	if err != nil {
+		// Unreachable for nodes that survived Phase 1; keep the tree view.
+		return "-- " + err.Error()
+	}
+	return text
 }
 
 // Options tunes a Debug run.
@@ -370,7 +390,7 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		sp12.End()
 		return nil, err
 	}
-	out = &Output{Keywords: keywords, NonKeywords: ph.nonKeywords, Stats: ph.stats}
+	out = &Output{Keywords: keywords, NonKeywords: ph.nonKeywords, Stats: ph.stats, lat: sys.lat}
 	out.Stats.Strategy = opts.Strategy
 	mtnIDs := ph.mtnIDs
 	if opts.Filter != nil {
@@ -398,7 +418,7 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 		return out, nil
 	}
 
-	sub := buildSublattice(sys.lat, mtnIDs)
+	sub := buildSublattice(sys.lat, sys.idx.rank, mtnIDs)
 	out.Stats.SubNodes = sub.len()
 	out.Stats.DescTotal, out.Stats.DescUnique = sub.descendantStats()
 	mReusePercent.Set(out.Stats.ReusePercent())
@@ -513,15 +533,13 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	sp3.SetAttr("reuse_percent", out.Stats.ReusePercent())
 	sp3.End()
 
-	out.Stats.MPANLevels = make(map[int]int)
 	for _, m := range res.aliveMTNs {
-		out.Answers = append(out.Answers, sys.queryInfo(sub.nodeID[m], keywords))
+		out.Answers = append(out.Answers, sys.queryInfo(sub.nodeID[m]))
 	}
 	for _, m := range res.deadMTNs {
-		na := NonAnswer{Query: sys.queryInfo(sub.nodeID[m], keywords), Incomplete: res.partial[m]}
+		na := NonAnswer{Query: sys.queryInfo(sub.nodeID[m]), Incomplete: res.partial[m]}
 		for _, p := range res.mpans[m] {
-			na.MPANs = append(na.MPANs, sys.queryInfo(sub.nodeID[p], keywords))
-			out.Stats.MPANLevels[sub.level[p]]++
+			na.MPANs = append(na.MPANs, sys.queryInfo(sub.nodeID[p]))
 		}
 		// Present the most specific explanations first: an MPAN covering
 		// more of the query (higher level) is usually the actionable one.
@@ -535,7 +553,7 @@ func (sys *System) debugWith(ctx context.Context, keywords []string, opts Option
 	}
 	sort.Ints(res.unresolved)
 	for _, m := range res.unresolved {
-		out.Unclassified = append(out.Unclassified, sys.queryInfo(sub.nodeID[m], keywords))
+		out.Unclassified = append(out.Unclassified, sys.queryInfo(sub.nodeID[m]))
 	}
 	return out, nil
 }
@@ -553,21 +571,16 @@ func (sys *System) Analyze(keywords []string) (Stats, error) {
 	if len(ph.nonKeywords) > 0 || len(ph.mtnIDs) == 0 {
 		return stats, nil
 	}
-	sub := buildSublattice(sys.lat, ph.mtnIDs)
+	sub := buildSublattice(sys.lat, sys.idx.rank, ph.mtnIDs)
 	stats.SubNodes = sub.len()
 	stats.DescTotal, stats.DescUnique = sub.descendantStats()
 	return stats, nil
 }
 
-// queryInfo renders a node for user consumption.
-func (sys *System) queryInfo(nodeID int, keywords []string) QueryInfo {
+// queryInfo describes a node for user consumption.
+func (sys *System) queryInfo(nodeID int) QueryInfo {
 	n := sys.lat.Node(nodeID)
-	sqlText, err := sys.lat.SQL(n, keywords, false)
-	if err != nil {
-		// Unreachable for nodes that survived Phase 1; keep the tree view.
-		sqlText = "-- " + err.Error()
-	}
-	return QueryInfo{NodeID: nodeID, Level: n.Level, Tree: n.String(), SQL: sqlText}
+	return QueryInfo{NodeID: nodeID, Level: n.Level, Tree: n.String()}
 }
 
 // phase12 holds the outcome of phases 1 and 2 for one keyword query.
@@ -617,25 +630,10 @@ func (sys *System) phase12(keywords []string) (*phase12Result, error) {
 		return ph, nil
 	}
 
-	// Phase 1b: prune nodes with unbindable keyword copies.
+	// Phase 1b: prune nodes with unbindable keyword copies, as the union of
+	// the bitmaps of the unbindable (relation, copy) pairs.
 	start = clock.Now()
-	n := len(keywords)
-	for id := 0; id < sys.lat.Len(); id++ {
-		node := sys.lat.Node(id)
-		ok := true
-		for _, v := range node.Vertices {
-			if v.Copy == 0 {
-				continue
-			}
-			if v.Copy > n || !ph.bindings[v.Copy-1][v.Rel] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			ph.surviving = append(ph.surviving, id)
-		}
-	}
+	ph.surviving = sys.idx.prune(ph.bindings)
 	ph.stats.PruneTime = clock.Since(start)
 	ph.stats.PrunedNodes = len(ph.surviving)
 	mPhaseSeconds.With("prune").Observe(ph.stats.PruneTime.Seconds())
@@ -643,9 +641,9 @@ func (sys *System) phase12(keywords []string) (*phase12Result, error) {
 	// Phase 2: minimal total nodes. A surviving node is total when every
 	// keyword index occurs among its copies; it is minimal when no
 	// leaf-removed child is total. (Children of survivors always survive:
-	// pruning is downward closed.)
+	// pruning is downward closed.) Survivors ascend, so the MTN IDs do too.
 	start = clock.Now()
-	ph.stats.MTNLevels = make(map[int]int)
+	n := len(keywords)
 	for _, id := range ph.surviving {
 		node := sys.lat.Node(id)
 		if !node.IsTotal(n) {
@@ -660,13 +658,11 @@ func (sys *System) phase12(keywords []string) (*phase12Result, error) {
 		}
 		if minimal {
 			ph.mtnIDs = append(ph.mtnIDs, id)
-			ph.stats.MTNLevels[node.Level]++
 		}
 	}
 	ph.stats.MTNTime = clock.Since(start)
 	ph.stats.MTNs = len(ph.mtnIDs)
 	mPhaseSeconds.With("mtn").Observe(ph.stats.MTNTime.Seconds())
-	sort.Ints(ph.mtnIDs)
 	return ph, nil
 }
 

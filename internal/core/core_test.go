@@ -487,7 +487,7 @@ func TestSublatticeShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := buildSublattice(sys.lat, ph.mtnIDs)
+	sub := buildSublattice(sys.lat, sys.idx.rank, ph.mtnIDs)
 	if len(sub.mtns) != 5 {
 		t.Fatalf("mtns = %d", len(sub.mtns))
 	}
@@ -562,7 +562,7 @@ func TestOracleErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := buildSublattice(sys.lat, ph.mtnIDs)
+	sub := buildSublattice(sys.lat, sys.idx.rank, ph.mtnIDs)
 	oracle := &failingOracle{}
 	for _, strat := range []Strategy{BU, TD, BUWR, TDWR, SBH, RE} {
 		gov := newGovernor(context.Background(), context.Background(), 0)

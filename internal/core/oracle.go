@@ -127,13 +127,12 @@ type preparedOracle struct {
 	// run's probes did not see cannot be vouched for.
 	view *vervec.View
 
-	// handles is the System-level cross-request handle cache; local holds
-	// this run's resolved handles (nodeID -> *engine.Prepared) so repeat
-	// probes skip even the LRU lock.
+	// handles is the System-level cross-request handle cache; entries holds
+	// this run's per-node probe state (nodeID -> *probeEntry): the probe
+	// identity and, once resolved, the handle, so repeat probes skip even
+	// the LRU lock.
 	handles *engine.PreparedCache
-	local   sync.Map
-	// keys memoizes probe identities (nodeID -> string); see probeKey.
-	keys sync.Map
+	entries sync.Map
 	// fps memoizes probe footprints (nodeID -> probecache.Footprint).
 	fps sync.Map
 
@@ -166,21 +165,30 @@ func (o *preparedOracle) setFlight(fl *flight.Log) {
 	o.cands.SetFlight(fl)
 }
 
-// probeKey is the node's probe identity: canonical label plus keyword
-// binding — the same identity the verdict cache uses, because two nodes
-// sharing it have isomorphic existence queries with identical outcomes.
-// Keys are memoized per node: warmBatch builds them while pre-compiling, so
-// the probe itself — which needs the key for the cache lookup and for every
-// flight event — gets a map hit instead of a string build.
-func (o *preparedOracle) probeKey(nodeID int) string {
-	if v, ok := o.keys.Load(nodeID); ok {
-		return v.(string)
+// probeEntry is one node's per-run probe state. key is the node's probe
+// identity: canonical label plus keyword binding — the same identity the
+// verdict cache uses, because two nodes sharing it have isomorphic existence
+// queries with identical outcomes. h is the node's handle once resolved.
+type probeEntry struct {
+	key string
+	h   atomic.Pointer[engine.Prepared]
+}
+
+// entry returns the node's probe entry, creating it on first use. warmBatch
+// creates the entries while pre-compiling, so the probe itself — which needs
+// the key for the cache lookup and for every flight event, and the handle to
+// execute — gets one map hit instead of a string build.
+func (o *preparedOracle) entry(nodeID int) *probeEntry {
+	if v, ok := o.entries.Load(nodeID); ok {
+		return v.(*probeEntry)
 	}
 	node := o.lat.Node(nodeID)
-	key := probecache.Key(node.Label, node.CopyMask, o.keywords)
-	o.keys.Store(nodeID, key)
-	return key
+	v, _ := o.entries.LoadOrStore(nodeID, &probeEntry{key: probecache.Key(node.Label, node.CopyMask, o.keywords)})
+	return v.(*probeEntry)
 }
+
+// probeKey is the node's probe identity; see probeEntry.
+func (o *preparedOracle) probeKey(nodeID int) string { return o.entry(nodeID).key }
 
 // footprint memoizes the node's version-vector footprint, mirroring probeKey.
 func (o *preparedOracle) footprint(nodeID int) probecache.Footprint {
@@ -197,12 +205,17 @@ func (o *preparedOracle) footprint(nodeID int) probecache.Footprint {
 // compile; the duplicate handle is equivalent and the last store wins, so
 // correctness never depends on winning the race.
 func (o *preparedOracle) handle(nodeID int) (*engine.Prepared, error) {
-	if v, ok := o.local.Load(nodeID); ok {
-		return v.(*engine.Prepared), nil
+	return o.handleOf(nodeID, o.entry(nodeID))
+}
+
+// handleOf is handle for a node whose entry the caller already holds.
+func (o *preparedOracle) handleOf(nodeID int, e *probeEntry) (*engine.Prepared, error) {
+	if h := e.h.Load(); h != nil {
+		return h, nil
 	}
-	key := o.probeKey(nodeID)
+	key := e.key
 	if h := o.handles.Get(key); h != nil {
-		o.local.Store(nodeID, h)
+		e.h.Store(h)
 		return h, nil
 	}
 	sel, err := o.lat.Select(o.lat.Node(nodeID), o.keywords, true)
@@ -215,7 +228,7 @@ func (o *preparedOracle) handle(nodeID int) (*engine.Prepared, error) {
 	}
 	o.compiled.Add(1)
 	o.handles.Put(key, h)
-	o.local.Store(nodeID, h)
+	e.h.Store(h)
 	return h, nil
 }
 
@@ -234,10 +247,8 @@ func (o *preparedOracle) warmBatch(nodeIDs []int) {
 //
 //kws:hotpath
 func (o *preparedOracle) IsAlive(nodeID int) (bool, error) {
-	var key string
-	if o.cache != nil || o.fl != nil {
-		key = o.probeKey(nodeID)
-	}
+	e := o.entry(nodeID)
+	key := e.key
 	suspect := false
 	if o.cache != nil {
 		alive, outcome := o.cache.Lookup(key)
@@ -262,7 +273,7 @@ func (o *preparedOracle) IsAlive(nodeID int) (bool, error) {
 	// plus execution — mirroring the text path, which times render plus
 	// execution; SQLTime is therefore comparable across the two paths.
 	start := clock.Now()
-	h, err := o.handle(nodeID)
+	h, err := o.handleOf(nodeID, e)
 	if err != nil {
 		return false, err
 	}

@@ -53,7 +53,8 @@ func (o *bitsetOracle) warmBatch(nodeIDs []int) {
 //
 //kws:hotpath
 func (o *bitsetOracle) IsAlive(nodeID int) (bool, error) {
-	key := o.probeKey(nodeID)
+	e := o.entry(nodeID)
+	key := e.key
 	suspect := false
 	if o.cache != nil {
 		alive, outcome := o.cache.Lookup(key)
@@ -99,7 +100,7 @@ func (o *bitsetOracle) IsAlive(nodeID int) (bool, error) {
 	}
 	o.bitsetFallbacks.Add(1)
 	o.fl.Emit(flight.BitsetFallback, nodeID, key, false, 0, cause)
-	h, err := o.handle(nodeID)
+	h, err := o.handleOf(nodeID, e)
 	if err != nil {
 		return false, err
 	}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"kwsdbg/internal/lattice"
 )
@@ -36,17 +37,18 @@ type sublattice struct {
 }
 
 // buildSublattice collects Desc+(m) for every MTN (given as lattice node IDs)
-// and precomputes the navigation arrays.
-func buildSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
-	s := &sublattice{lat: lat, subIdx: make(map[int]int)}
+// and precomputes the navigation arrays. rank orders nodes by (level, label).
+func buildSublattice(lat *lattice.Lattice, rank []int32, mtnIDs []int) *sublattice {
+	s := &sublattice{lat: lat}
 
-	// BFS down from the MTNs over lattice children links.
+	// DFS down from the MTNs over lattice children links.
+	seen := newBitset(len(rank))
 	var stack []int
 	push := func(id int) {
-		if _, ok := s.subIdx[id]; ok {
+		if seen.has(id) {
 			return
 		}
-		s.subIdx[id] = len(s.nodeID)
+		seen.set(id)
 		s.nodeID = append(s.nodeID, id)
 		stack = append(stack, id)
 	}
@@ -61,78 +63,86 @@ func buildSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
 		}
 	}
 
-	// Reorder sub indexes by (level, label) so that index order is a
+	// Order sub indexes by (level, label) so that index order is a
 	// topological order from the base upward — handy for DP and determinism.
-	order := make([]int, len(s.nodeID))
-	for i := range order {
-		order[i] = i
+	// Sorting rank<<32|id as plain integers carries the ID along.
+	n := len(s.nodeID)
+	keys := make([]uint64, n)
+	for i, id := range s.nodeID {
+		keys[i] = uint64(rank[id])<<32 | uint64(id)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		na, nb := lat.Node(s.nodeID[order[a]]), lat.Node(s.nodeID[order[b]])
-		if na.Level != nb.Level {
-			return na.Level < nb.Level
-		}
-		return na.Label < nb.Label
-	})
-	ids := make([]int, len(order))
-	for newIdx, oldIdx := range order {
-		ids[newIdx] = s.nodeID[oldIdx]
-	}
-	s.nodeID = ids
-	s.subIdx = make(map[int]int, len(ids))
-	for i, id := range ids {
+	slices.Sort(keys)
+	s.subIdx = make(map[int]int, n)
+	for i, k := range keys {
+		id := int(uint32(k))
+		s.nodeID[i] = id
 		s.subIdx[id] = i
 	}
 
-	n := len(s.nodeID)
 	s.level = make([]int, n)
 	s.children = make([][]int32, n)
-	s.parents = make([][]int32, n)
-	s.desc = make([][]int32, n)
-	s.asc = make([][]int32, n)
+	nChildren := 0
+	for _, id := range s.nodeID {
+		nChildren += len(lat.Node(id).Children)
+	}
+	childBuf := make([]int32, 0, nChildren)
 	for i, id := range s.nodeID {
 		node := lat.Node(id)
 		s.level[i] = node.Level
 		if node.Level > s.maxLevel {
 			s.maxLevel = node.Level
 		}
+		from := len(childBuf)
 		for _, c := range node.Children {
-			s.children[i] = append(s.children[i], int32(s.subIdx[c]))
+			childBuf = append(childBuf, int32(s.subIdx[c]))
 		}
-		for _, p := range node.Parents {
-			if pi, ok := s.subIdx[p]; ok {
-				s.parents[i] = append(s.parents[i], int32(pi))
-			}
-		}
+		s.children[i] = span(childBuf, from)
 	}
+	// Parents within the sub-lattice are the transpose of children (the
+	// sub-lattice is downward closed), listed in lattice ID order like the
+	// lattice's own Parents; seen lists the sub-nodes in that order.
+	byID := make([]int32, 0, n)
+	seen.forEach(func(id int) { byID = append(byID, int32(s.subIdx[id])) })
+	s.parents = transpose(s.children, n, byID)
 
-	// Strict descendants, bottom-up: desc(x) = U_c ({c} U desc(c)).
-	for i := 0; i < n; i++ { // index order is level order
-		set := make(map[int32]bool)
+	// Strict descendants, bottom-up over one bit matrix: row(x) is the union
+	// of {c} and row(c) over the children c of x. Children sit at lower
+	// indexes (index order is level order), so row(c) has no bits at or past
+	// c and only its first c/64+1 words need merging.
+	words := (n + 63) / 64
+	mat := make([]uint64, n*words)
+	total := 0
+	for i := 0; i < n; i++ {
+		row := mat[i*words : (i+1)*words]
 		for _, c := range s.children[i] {
-			set[c] = true
-			for _, d := range s.desc[c] {
-				set[d] = true
+			ci := int(c)
+			for k, w := range mat[ci*words : ci*words+(ci>>6)+1] {
+				row[k] |= w
+			}
+			row[ci>>6] |= 1 << uint(ci&63)
+		}
+		total += bitset(row).count()
+	}
+	// List each row in ascending order.
+	s.desc = make([][]int32, n)
+	descBuf := make([]int32, 0, total)
+	for i := 0; i < n; i++ {
+		from := len(descBuf)
+		for wi, w := range mat[i*words : (i+1)*words] {
+			for ; w != 0; w &= w - 1 {
+				descBuf = append(descBuf, int32(wi<<6+bits.TrailingZeros64(w)))
 			}
 		}
-		s.desc[i] = sortedKeys(set)
+		s.desc[i] = span(descBuf, from)
 	}
-	// Strict ancestors, top-down.
-	for i := n - 1; i >= 0; i-- {
-		set := make(map[int32]bool)
-		for _, p := range s.parents[i] {
-			set[p] = true
-			for _, a := range s.asc[p] {
-				set[a] = true
-			}
-		}
-		s.asc[i] = sortedKeys(set)
-	}
+	// Strict ancestors are the transpose: x is an ancestor of d exactly
+	// when d is a descendant of x.
+	s.asc = transpose(s.desc, n, nil)
 
 	for _, id := range mtnIDs {
 		s.mtns = append(s.mtns, s.subIdx[id])
 	}
-	sort.Ints(s.mtns)
+	slices.Sort(s.mtns)
 
 	s.owners = make([][]int32, n)
 	for mi, m := range s.mtns {
@@ -144,15 +154,49 @@ func buildSublattice(lat *lattice.Lattice, mtnIDs []int) *sublattice {
 	return s
 }
 
-func sortedKeys(set map[int32]bool) []int32 {
-	if len(set) == 0 {
+// span returns buf[from:] capped at its length so appends cannot reach into
+// the next list, or nil when it is empty.
+func span(buf []int32, from int) []int32 {
+	if len(buf) == from {
 		return nil
 	}
-	out := make([]int32, 0, len(set))
-	for k := range set {
-		out = append(out, k)
+	return buf[from:len(buf):len(buf)]
+}
+
+// transpose inverts index lists: for each x < n, out[x] lists every i with x
+// in lists[i], in the order i appears in order (ascending when order is
+// nil). Empty lists are nil; the lists share one backing array.
+func transpose(lists [][]int32, n int, order []int32) [][]int32 {
+	count := make([]int, n)
+	total := 0
+	for _, l := range lists {
+		for _, x := range l {
+			count[x]++
+		}
+		total += len(l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([][]int32, n)
+	buf := make([]int32, total)
+	for x, off := 0, 0; x < n; x++ {
+		if count[x] > 0 {
+			out[x] = buf[off : off : off+count[x]]
+			off += count[x]
+		}
+	}
+	visit := func(i int32) {
+		for _, x := range lists[i] {
+			out[x] = append(out[x], i)
+		}
+	}
+	if order == nil {
+		for i := range lists {
+			visit(int32(i))
+		}
+	} else {
+		for _, i := range order {
+			visit(i)
+		}
+	}
 	return out
 }
 

@@ -8,8 +8,8 @@
 // to the debugger itself: a slow or cache-cold run is a non-answer nobody can
 // explain without knowing which probes missed which cache and where the SQL
 // time went. The recorder captures exactly that, cheaply enough to leave on:
-// one atomic sequence fetch plus one mutex-guarded 64-byte slot store per
-// event, and a single nil check when recording is off.
+// one atomic sequence fetch, one mutex-guarded slot store and one per-log
+// tally increment per event, and a single nil check when recording is off.
 //
 // Events are keyed by request ID and probe key and stamped with a globally
 // monotonic sequence number, so the interleaving of concurrent workers is
@@ -170,7 +170,7 @@ type Event struct {
 const DefaultRingSize = 4096
 
 // slot is one pooled event cell. Slots are overwritten in ring order; the
-// mutex makes the 64-byte copy atomic with respect to snapshotters and to a
+// mutex makes the event write atomic with respect to snapshotters and to a
 // lapped writer.
 type slot struct {
 	mu sync.Mutex
@@ -178,12 +178,17 @@ type slot struct {
 	ev Event
 }
 
-// store copies ev into the slot unless the slot already holds a newer event
-// (a writer that lapped the ring while this one was descheduled).
-func (s *slot) store(ev *Event) {
+// store writes an event into the slot unless the slot already holds a newer
+// one (a writer that lapped the ring while this one was descheduled). It
+// takes the event's fields rather than an Event so the event is built once,
+// in place.
+func (s *slot) store(seq uint64, req string, k Kind, node int32, alive bool, probe, cause string, dur time.Duration) {
 	s.mu.Lock()
-	if ev.Seq > s.ev.Seq {
-		s.ev = *ev
+	if ev := &s.ev; seq > ev.Seq {
+		// Field by field: a composite literal would be built in a
+		// temporary and block-copied.
+		ev.Seq, ev.Req, ev.Kind, ev.Node = seq, req, k, node
+		ev.Alive, ev.Probe, ev.Cause, ev.Dur = alive, probe, cause, dur
 	}
 	s.mu.Unlock()
 }
@@ -228,16 +233,6 @@ func NewRecorder(size int) *Recorder {
 	}
 	mRingSlots.Set(float64(n))
 	return &Recorder{mask: uint64(n - 1), slots: make([]slot, n), runCap: DefaultRunCap}
-}
-
-// record assigns the next sequence number and stores the event in its ring
-// slot. Overwriting the oldest slot is the intended behavior: the ring is a
-// bounded window of the most recent activity, not an archive — ledgers are
-// the archive.
-func (r *Recorder) record(ev *Event) {
-	seq := r.seq.Add(1)
-	ev.Seq = seq
-	r.slots[(seq-1)&r.mask].store(ev)
 }
 
 // Snapshot copies out every live event in the ring, ordered by sequence
@@ -287,17 +282,19 @@ func (r *Recorder) Runs() []RunSummary {
 // else (no context walk, no allocation). This is the same discipline as
 // obs.Span.
 type Log struct {
-	rec *Recorder
-	req string
+	rec     *Recorder
+	req     string
+	capture bool
+	// kinds tallies the events emitted through this log by kind, capture or
+	// not: Count sums it for the run summary, and Close adds it to the
+	// kwsdbg_flight_events_total metric, so an event costs one counter
+	// update rather than one per tally.
+	kinds [numKinds]atomic.Uint32
 	// fallbackSeq sequences events when no ring is attached (capture-only
 	// logs in tests and CLI runs).
 	fallbackSeq atomic.Uint64
-	// count tallies events emitted through this log, capture or not, so the
-	// run summary can report it without buffering the stream.
-	count atomic.Uint64
 
-	capture bool
-	mu      sync.Mutex
+	mu sync.Mutex
 	// events is the private capture buffer for ledger writing; nil unless
 	// capture was requested. guarded by mu.
 	events []Event
@@ -325,17 +322,19 @@ func (l *Log) Emit(k Kind, node int, probe string, alive bool, dur time.Duration
 	if l == nil {
 		return
 	}
-	ev := Event{Req: l.req, Kind: k, Node: int32(node), Alive: alive, Probe: probe, Cause: cause, Dur: dur}
-	if l.rec != nil {
-		l.rec.record(&ev)
+	// The ring slot is overwritten in order: the ring is a bounded window
+	// of the most recent activity, not an archive — ledgers are the archive.
+	var seq uint64
+	if r := l.rec; r != nil {
+		seq = r.seq.Add(1)
+		r.slots[(seq-1)&r.mask].store(seq, l.req, k, int32(node), alive, probe, cause, dur)
 	} else {
-		ev.Seq = l.fallbackSeq.Add(1)
+		seq = l.fallbackSeq.Add(1)
 	}
-	evCounters[k].Inc()
-	l.count.Add(1)
+	l.kinds[k].Add(1)
 	if l.capture {
 		l.mu.Lock()
-		l.events = append(l.events, ev)
+		l.events = append(l.events, Event{Seq: seq, Req: l.req, Kind: k, Node: int32(node), Alive: alive, Probe: probe, Cause: cause, Dur: dur})
 		l.mu.Unlock()
 	}
 }
@@ -345,7 +344,25 @@ func (l *Log) Count() int {
 	if l == nil {
 		return 0
 	}
-	return int(l.count.Load())
+	n := 0
+	for k := range l.kinds {
+		n += int(l.kinds[k].Load())
+	}
+	return n
+}
+
+// Close adds the log's per-kind event tallies to the
+// kwsdbg_flight_events_total metric. Call it once, when the run the log
+// records is over. Safe on a nil receiver.
+func (l *Log) Close() {
+	if l == nil {
+		return
+	}
+	for k := range l.kinds {
+		if n := l.kinds[k].Load(); n > 0 {
+			evCounters[k].Add(float64(n))
+		}
+	}
 }
 
 // Events returns the captured event stream in sequence order; nil when the

@@ -7,11 +7,11 @@ import "kwsdbg/internal/obs"
 // ledger counters watch the opt-in archive path for write failures.
 //
 // CounterVec.With builds a label key (and allocates) on every call, so the
-// per-kind counters are resolved once into an array indexed by Kind — the
-// hot path does one atomic add through a preresolved pointer.
+// per-kind counters are resolved once into an array indexed by Kind, which
+// Log.Close adds a run's per-kind tallies to.
 var (
 	mEventsVec = obs.Default.CounterVec("kwsdbg_flight_events_total",
-		"Probe-lifecycle events recorded by the flight recorder, by event kind.",
+		"Probe-lifecycle events recorded by the flight recorder, by event kind; a run's events are added when its log closes.",
 		"kind")
 	mRingSlots = obs.Default.Gauge("kwsdbg_flight_ring_slots",
 		"Slot capacity of the flight-recorder ring buffer.")

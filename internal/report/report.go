@@ -17,7 +17,7 @@ import (
 
 // Options controls text rendering.
 type Options struct {
-	// ShowSQL includes each reported query's SQL text.
+	// ShowSQL includes each reported query's SQL text, rendered only then.
 	ShowSQL bool
 	// MaxMPANs caps the explanations printed per non-answer (0 = all).
 	MaxMPANs int
@@ -50,7 +50,7 @@ func Text(w io.Writer, out *core.Output, opts Options) error {
 			return err
 		}
 		if opts.ShowSQL {
-			fmt.Fprintf(w, "      %s\n", a.SQL)
+			fmt.Fprintf(w, "      %s\n", out.SQL(a))
 		}
 		if opts.Preview > 0 && opts.Sys != nil {
 			preview(w, opts.Sys, out.Keywords, a.NodeID, opts.Preview)
@@ -61,7 +61,7 @@ func Text(w io.Writer, out *core.Output, opts Options) error {
 			return err
 		}
 		if opts.ShowSQL {
-			fmt.Fprintf(w, "      %s\n", na.Query.SQL)
+			fmt.Fprintf(w, "      %s\n", out.SQL(na.Query))
 		}
 		shown := 0
 		for _, p := range na.MPANs {
@@ -71,7 +71,7 @@ func Text(w io.Writer, out *core.Output, opts Options) error {
 			}
 			fmt.Fprintf(w, "      alive up to: %s\n", p.Tree)
 			if opts.ShowSQL {
-				fmt.Fprintf(w, "        %s\n", p.SQL)
+				fmt.Fprintf(w, "        %s\n", out.SQL(p))
 			}
 			shown++
 		}
@@ -158,7 +158,7 @@ type jsonStats struct {
 
 // JSONOptions controls the machine-readable rendering.
 type JSONOptions struct {
-	// ShowSQL includes each reported query's SQL text.
+	// ShowSQL includes each reported query's SQL text, rendered only then.
 	ShowSQL bool
 	// Trace, when non-nil, embeds the request's span tree.
 	Trace *obs.Span
@@ -175,7 +175,7 @@ func JSONOpts(w io.Writer, out *core.Output, opts JSONOptions) error {
 	conv := func(q core.QueryInfo) jsonQuery {
 		jq := jsonQuery{Node: q.NodeID, Level: q.Level, Tree: q.Tree}
 		if showSQL {
-			jq.SQL = q.SQL
+			jq.SQL = out.SQL(q)
 		}
 		return jq
 	}

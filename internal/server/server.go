@@ -364,6 +364,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, r *http.Request) {
 	// One flight log per run: it stamps events with the request ID and, for
 	// ledger runs, keeps the private copy the JSONL file is written from.
 	fl := flight.NewLog(s.Recorder, obs.RequestID(ctx), wantLedger)
+	defer fl.Close()
 	ctx = flight.NewContext(ctx, fl)
 	var root *obs.Span
 	if r.URL.Query().Get("trace") == "1" {
